@@ -3,7 +3,9 @@
 
 Boots a real ``repro-campaignd`` coordinator and two worker processes on
 localhost, runs a small mini_git exploration through ``repro-campaign``,
-then proves crash-safe resume: the coordinator is killed, the store is
+resubmits the same spec under a fresh store (the live workers must serve
+it from their warm engines, with identical results), then proves
+crash-safe resume: the coordinator is killed, the store is
 truncated mid-record (simulating a kill mid-append), a fresh coordinator
 is started, and resubmitting the same spec must resume the checkpointed
 prefix, repair the torn tail, and re-run only the remainder — ending with
@@ -109,6 +111,30 @@ def main() -> int:
 
         first_pass = campaign(port, "results", submitted["campaign_id"])
         assert len(first_pass) == total
+        assert final["cache"].get("boot_misses", 0) > 0, final
+        warm_workers = final["workers_seen"]
+
+        # ------------------------------------------------------------------
+        # Phase 1b: the same spec under a fresh store, on the live fleet.
+        # Workers key engines by execution spec (store path excluded), so
+        # the warm engines serve it: no boot template is rebuilt.
+        log("phase 1b: resubmit the spec with a fresh --store")
+        fresh_store = os.path.abspath(
+            os.path.join(options.log_dir, "campaign-store-resubmit.jsonl"))
+        resubmitted, final = campaign(
+            port, "submit", *SPEC_ARGS, "--store", fresh_store, "--wait")
+        assert resubmitted["campaign_id"] != submitted["campaign_id"], resubmitted
+        assert final["state"] == "complete", final
+        assert final["executed"] == total, final
+        # A worker that sat phase 1 out boots once; the warm ones never do.
+        cold_workers = set(final["workers_seen"]) - set(warm_workers)
+        assert final["cache"].get("boot_misses", 0) <= len(cold_workers), final
+        by_key = lambda records: sorted(records, key=lambda r: r["key"])
+        warm_pass = campaign(port, "results", resubmitted["campaign_id"])
+        assert by_key(warm_pass) == by_key(first_pass), \
+            "resubmitted results differ from phase 1"
+        log(f"warm resubmission identical ({total} records, "
+            f"{final['cache'].get('boot_misses', 0)} boot misses)")
 
         # ------------------------------------------------------------------
         # Phase 2: kill everything, tear the store mid-record, resume.

@@ -19,7 +19,7 @@ from repro.core.analysis.scenario_gen import generate_injection_scenarios
 from repro.core.profiler.fault_profile import FaultProfile
 from repro.core.profiler.spec_profiles import combined_reference_profile
 from repro.core.scenario.model import Scenario
-from repro.isa.binary import BinaryImage
+from repro.isa.binary import BinaryImage, CallSite
 
 
 @dataclass
@@ -75,7 +75,12 @@ class CallSiteAnalyzer:
         """Classify every call site of the selected library functions."""
         start = time.perf_counter()
         report = AnalysisReport(binary=binary.name)
-        targets = list(functions) if functions is not None else sorted(binary.called_imports())
+        # One scan of the image, grouped by callee (in address order), in
+        # place of one full scan per analysed function.
+        sites_by_callee: Dict[str, List[CallSite]] = {}
+        for site in binary.call_sites():
+            sites_by_callee.setdefault(site.callee, []).append(site)
+        targets = list(functions) if functions is not None else sorted(sites_by_callee)
         for function in targets:
             function_profile = self.profile.function(function)
             if function_profile is None or not function_profile.error_returns:
@@ -86,6 +91,7 @@ class CallSiteAnalyzer:
                 function,
                 error_codes,
                 max_instructions=self.max_instructions,
+                sites=sites_by_callee.get(function, ()),
             )
             if classification.site_count():
                 report.classifications[function] = classification

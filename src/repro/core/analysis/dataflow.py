@@ -198,6 +198,16 @@ def analyze_return_value_checks(
     in_states: Dict[int, FrozenSet[Location]] = {start: frozenset() for start in cfg.blocks}
     in_states[cfg.entry] = frozenset({_RETURN_LOCATION})
     out_states: Dict[int, FrozenSet[Location]] = {}
+    # Block order and predecessor lists are fixed for the CFG: derive them
+    # once instead of per block per iteration (cfg.predecessors is a scan
+    # over every block).
+    order = sorted(cfg.blocks)
+    predecessors: Dict[int, List[int]] = {start: [] for start in order}
+    for start in order:
+        for successor in cfg.blocks[start].successors:
+            if successor in predecessors:
+                predecessors[successor].append(start)
+    empty: FrozenSet[Location] = frozenset()
 
     # Iterate to a fixpoint; copy sets only grow at merge points, so this
     # terminates quickly (the paper observes a few iterations in practice).
@@ -205,11 +215,11 @@ def analyze_return_value_checks(
     while changed:
         changed = False
         result.iterations += 1
-        for start in sorted(cfg.blocks):
+        for start in order:
             block = cfg.blocks[start]
             merged: Set[Location] = set(in_states[start])
-            for predecessor in cfg.predecessors(start):
-                merged.update(out_states.get(predecessor.start, frozenset()))
+            for predecessor in predecessors[start]:
+                merged.update(out_states.get(predecessor, empty))
             if start == cfg.entry:
                 merged.add(_RETURN_LOCATION)
             merged_frozen = frozenset(merged)

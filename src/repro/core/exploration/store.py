@@ -22,6 +22,13 @@ Durability contract:
   ``durable=False`` to trade that guarantee for write throughput — a
   process crash still loses nothing (the OS has the flushed data), only a
   kernel/power failure can lose the unsynced suffix.
+* a record counts as stored only once its write, flush and (when durable)
+  fsync all returned.  A failed call is assumed to have had any effect on
+  the file — none, a prefix of the line, or all of it — in the spirit of
+  BesFS's model of an untrusted OS.  So the store does not index the
+  record, and it treats everything past the pre-append offset as a torn
+  tail that :meth:`repair` truncates before the next append.  A redelivery
+  of the same key is then stored, not dropped as a duplicate.
 
 Corruption contract (:meth:`_load`): a **torn final line** — the partial
 record of a crash mid-append — is expected and tolerated: the run it
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterator, List, Optional, Set
 
 from repro.core.controller.monitor import Outcome, OutcomeKind
@@ -109,12 +116,39 @@ class StoredResult:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        payload = asdict(self)
-        if not payload.get("recovery_lines"):
+        """The record as a JSON-ready dict (the store's line format).
+
+        Built field by field: the scalar fields are immutable and the four
+        containers are copied one level deep, so mutating the result never
+        touches the record.  (Their values are JSON scalars; a generic
+        ``dataclasses.asdict`` deep copy cost ~4x as much per record.)
+        """
+        payload: Dict[str, Any] = {
+            "key": self.key,
+            "index": self.index,
+            "scenario": self.scenario,
+            "function": self.function,
+            "return_value": self.return_value,
+            "errno": self.errno,
+            "category": self.category,
+            "workload": self.workload,
+            "outcome": self.outcome,
+            "detail": self.detail,
+            "exit_code": self.exit_code,
+            "location": self.location,
+            "injections": self.injections,
+            "fingerprint": self.fingerprint,
+            "run_seed": self.run_seed,
+            "fault_class": self.fault_class,
+            "fault_params": dict(self.fault_params),
+            "calls": dict(self.calls),
+        }
+        if self.recovery_lines:
             # Static runs carry no coverage feedback; omitting the empty
             # field keeps their records byte-identical to pre-round-loop
             # stores (and old readers route it through ``extra`` otherwise).
-            payload.pop("recovery_lines", None)
+            payload["recovery_lines"] = list(self.recovery_lines)
+        payload["extra"] = dict(self.extra)
         return payload
 
     @classmethod
@@ -137,7 +171,7 @@ class ResultStore:
         self.durable = durable
         self._results: List[StoredResult] = []
         self._by_key: Dict[str, StoredResult] = {}
-        self._handle: Optional[IO[str]] = None
+        self._handle: Optional[IO[bytes]] = None
         #: Byte offset of a torn (crash-truncated) final line detected at
         #: load time; ``None`` when the file ended cleanly.  The tail is
         #: truncated lazily by :meth:`repair` — and always before the next
@@ -212,25 +246,31 @@ class ResultStore:
         """
         if self._torn_tail_offset is None:
             return False
-        self._close_handle()
+        try:
+            self._close_handle()
+        except OSError:
+            # Closing flushes whatever a failed append left buffered; those
+            # bytes belong to the record being dropped, and the truncate
+            # below removes anything that did reach the file.
+            pass
         with open(self.path, "r+b") as handle:
             handle.truncate(self._torn_tail_offset)
         self._torn_tail_offset = None
         return True
 
     # ------------------------------------------------------------------
-    def _open_handle(self) -> IO[str]:
+    def _open_handle(self) -> IO[bytes]:
         if self._handle is None:
             directory = os.path.dirname(self.path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
-            self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle = open(self.path, "ab")
         return self._handle
 
     def _close_handle(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
     def record(self, result: StoredResult) -> None:
         """Record one completed run (persisted immediately when backed).
@@ -240,21 +280,30 @@ class ResultStore:
         idempotent: the first completion wins and repeats are dropped, so
         re-delivered results (a retried worker shard, overlapping resumes)
         cost nothing and never duplicate lines in the file.
+
+        A record is indexed only once its line is written, flushed and
+        (when durable) fsynced.  If any of those raises, the store forgets
+        the attempt: the key stays incomplete, so a redelivery is stored
+        rather than dropped as a duplicate, and the bytes of the failed
+        append are treated as a torn tail that :meth:`repair` truncates
+        before the next append.
         """
         if result.key in self._by_key:
             return
-        self._remember(result)
         if self.path is not None:
+            line = (json.dumps(result.to_dict(), sort_keys=True) + "\n").encode("utf-8")
             self.repair()
             handle = self._open_handle()
-            handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
-            handle.flush()
-            if self.durable:
-                os.fsync(handle.fileno())
-
-    #: Historical name for :meth:`record` (kept for callers and stores
-    #: written against the pre-daemon API).
-    append = record
+            offset = handle.tell()
+            try:
+                handle.write(line)
+                handle.flush()
+                if self.durable:
+                    os.fsync(handle.fileno())
+            except BaseException:
+                self._torn_tail_offset = offset
+                raise
+        self._remember(result)
 
     def close(self) -> None:
         """Close the persistent append handle (safe to record() again after)."""

@@ -43,7 +43,12 @@ from repro.distributed.central_controller import (
 )
 from repro.distributed.campaignd import CampaignCoordinator
 from repro.distributed.client import CampaignClient, CampaignServerError
-from repro.distributed.spec import CampaignSpec, build_engine, spec_fingerprint
+from repro.distributed.spec import (
+    CampaignSpec,
+    build_engine,
+    execution_key,
+    spec_fingerprint,
+)
 from repro.distributed.worker import CampaignWorker
 
 __all__ = [
@@ -58,5 +63,6 @@ __all__ = [
     "RotatingAttackPolicy",
     "SilenceNodePolicy",
     "build_engine",
+    "execution_key",
     "spec_fingerprint",
 ]

@@ -18,7 +18,10 @@ explicit ``(index, point key)`` assignment instead (protocol ≥ 3, see
 so records stay byte-identical to a serial adaptive run's.
 
 :func:`spec_fingerprint` canonicalises a spec into a stable hash used to
-deduplicate submissions and key worker-side engine caches.
+deduplicate submissions.  :func:`execution_key` hashes only the fields that
+affect execution — the spec minus the coordinator-local
+:data:`COORDINATOR_FIELDS` — and keys worker-side engine caches, so a
+campaign resubmitted under a fresh store is served by the warm engine.
 """
 
 from __future__ import annotations
@@ -115,10 +118,29 @@ def validate_spec(spec: CampaignSpec) -> None:
             )
 
 
-def spec_fingerprint(spec: CampaignSpec) -> str:
-    """Stable identity of a spec (submission dedup, engine-cache key)."""
-    canonical = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+#: Spec fields only the coordinator reads (persistence and lease sizing).
+#: They never change a record, so they are left out of :func:`execution_key`.
+COORDINATOR_FIELDS = ("store_path", "shard_size")
+
+
+def _digest(payload: Dict[str, Any]) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def spec_fingerprint(spec: CampaignSpec) -> str:
+    """Stable identity of a whole spec (submission dedup)."""
+    return _digest(spec.to_dict())
+
+
+def execution_key(spec: CampaignSpec) -> str:
+    """Stable identity of what a spec *executes*: its fingerprint with the
+    :data:`COORDINATOR_FIELDS` cleared.  Two specs with equal keys produce
+    identical records, so a worker serves both from one engine."""
+    payload = spec.to_dict()
+    for name in COORDINATOR_FIELDS:
+        payload[name] = None
+    return _digest(payload)
 
 
 def build_engine(
@@ -168,4 +190,11 @@ def build_engine(
     return engine, points
 
 
-__all__ = ["CampaignSpec", "build_engine", "spec_fingerprint", "validate_spec"]
+__all__ = [
+    "COORDINATOR_FIELDS",
+    "CampaignSpec",
+    "build_engine",
+    "execution_key",
+    "spec_fingerprint",
+    "validate_spec",
+]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import logging
 import threading
 import uuid
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.controller.costmodel import default_cost_model
@@ -44,9 +45,13 @@ from repro.distributed.protocol import (
     ProtocolError,
     connect,
 )
-from repro.distributed.spec import CampaignSpec, build_engine, spec_fingerprint
+from repro.distributed.spec import CampaignSpec, build_engine, execution_key
 
 logger = logging.getLogger("repro.campaignd.worker")
+
+#: Engines one worker keeps warm: a long-lived worker's memory is bounded
+#: by this many distinct execution specs, however many campaigns it serves.
+MAX_CACHED_ENGINES = 64
 
 
 def _cache_stats_snapshot() -> Dict[str, float]:
@@ -106,10 +111,13 @@ class CampaignWorker:
         self._coordinator_version = 1
         self._rpc_lock = threading.Lock()
         self._stop = threading.Event()
-        #: Engines are cached per spec fingerprint: every shard of one
-        #: campaign shares the target artifacts, boot templates, and
-        #: enumerated fault space.
-        self._engines: Dict[str, tuple] = {}
+        #: Engines are cached per execution key (see
+        #: :func:`repro.distributed.spec.execution_key`): every shard of one
+        #: campaign, and every resubmission of the same spec under another
+        #: store, shares the target artifacts, boot templates, and
+        #: enumerated fault space.  Least recently used engines beyond
+        #: :data:`MAX_CACHED_ENGINES` are dropped.
+        self._engines: "OrderedDict[str, tuple]" = OrderedDict()
         #: Shards fully executed by this worker (observable for tests/CLI).
         self.shards_completed = 0
         self.results_streamed = 0
@@ -206,14 +214,18 @@ class CampaignWorker:
     # shard execution
     # ------------------------------------------------------------------
     def _engine_for(self, spec: CampaignSpec):
-        fingerprint = spec_fingerprint(spec)
-        cached = self._engines.get(fingerprint)
+        key = execution_key(spec)
+        cached = self._engines.get(key)
         if cached is None:
             # No store: the coordinator owns persistence; the worker-side
-            # engine only derives schedules and executes.
-            engine, points = build_engine(spec, store=None)
-            cached = (engine, points)
-            self._engines[fingerprint] = cached
+            # engine only derives schedules and executes, so specs that
+            # differ only in coordinator-local fields can share it.
+            cached = build_engine(spec, store=None)
+            self._engines[key] = cached
+            if len(self._engines) > MAX_CACHED_ENGINES:
+                self._engines.popitem(last=False)
+        else:
+            self._engines.move_to_end(key)
         return cached
 
     def _execute_shard(self, shard: Dict[str, Any]) -> None:

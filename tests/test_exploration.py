@@ -214,8 +214,8 @@ class TestResultStore:
     def test_persist_and_reload(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(str(path))
-        store.append(_stored("a"))
-        store.append(_stored("b", outcome="crash", index=1))
+        store.record(_stored("a"))
+        store.record(_stored("b", outcome="crash", index=1))
         reloaded = ResultStore(str(path))
         assert reloaded.completed_keys() == {"a", "b"}
         assert reloaded.get("b").outcome_kind is OutcomeKind.CRASH
@@ -225,15 +225,15 @@ class TestResultStore:
     def test_duplicate_appends_are_idempotent(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(str(path))
-        store.append(_stored("a"))
-        store.append(_stored("a", outcome="crash"))
+        store.record(_stored("a"))
+        store.record(_stored("a", outcome="crash"))
         assert store.get("a").outcome == "normal"
         assert len(ResultStore(str(path))) == 1
 
     def test_torn_final_line_is_discarded(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(str(path))
-        store.append(_stored("a"))
+        store.record(_stored("a"))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"key": "b", "outcome": "cra')  # killed mid-write
         reloaded = ResultStore(str(path))
@@ -241,7 +241,7 @@ class TestResultStore:
 
     def test_memory_store_has_no_file(self):
         store = ResultStore()
-        store.append(_stored("a"))
+        store.record(_stored("a"))
         assert store.path is None and len(store) == 1
 
     def test_stored_outcome_keeps_exit_code_and_location(self, tmp_path):
@@ -249,7 +249,7 @@ class TestResultStore:
         result = _stored("a", outcome="crash")
         result.exit_code = 139
         result.location = "httpd.c:42"
-        ResultStore(str(path)).append(result)
+        ResultStore(str(path)).record(result)
         restored = ResultStore(str(path)).get("a").to_outcome()
         assert restored.exit_code == 139 and restored.location == "httpd.c:42"
         assert restored.kind is OutcomeKind.CRASH
