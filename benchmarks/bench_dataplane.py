@@ -51,6 +51,7 @@ from repro.core.controller.controller import LFIController  # noqa: E402
 from repro.core.controller.executor import (  # noqa: E402
     ProcessPoolBackend,
     derive_run_seed,
+    execute_group,
 )
 from repro.core.controller.prefix import build_group_tasks  # noqa: E402
 from repro.core.controller.target import WorkloadRequest  # noqa: E402
@@ -219,7 +220,7 @@ def bench_pooled_campaign(repeats: int, workers: int) -> dict:
                 options={"engine": "compiled-steps", "os_channel": "full"},
             )
             collected = {}
-            for results in backend.run_groups(tasks):
+            for results in backend.map(execute_group, [(t,) for t in tasks]):
                 collected.update(results)
             assert len(collected) == len(scenarios)
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Scheduling + memoization benchmark — writes ``BENCH_sched.json``.
 
-Three measurements for the suffix-memo / cross-workload-reuse /
-cost-adaptive-scheduling layer:
+Two measurements for the suffix-memo / cross-workload-reuse layer:
 
 1. **resweep_memo** — a coverage-collecting mini_git sweep executed twice
    against one private :class:`SuffixMemo` on a fresh target instance:
@@ -16,13 +15,6 @@ cost-adaptive-scheduling layer:
    and one pinned to the historical per-workload scope.  The speedup is
    what sharing the boot capture across ``status``/``commit``/``gc``/...
    buys on short sweeps, where boot cost is not amortised away.
-3. **adaptive_sched** — a skewed group distribution (one large
-   count×errno family that genuinely fires mid-workload, two medium
-   families, singletons) planned with the static round-robin policy vs
-   the cost-adaptive splitter.  Each batch is drained serially against a
-   **fresh target instance** — process-shard semantics, every shard owns
-   its caches — and the makespan is the slowest batch (robust on starved
-   CI runners).  Adaptive must not lose, and on the skew it should win.
 
 Every leg asserts bit-identical results against the memo-free serial
 oracle, and a small campaignd fabric round trip (coordinator + worker in
@@ -45,7 +37,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace as dc_replace
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
@@ -53,16 +44,9 @@ if _SRC not in sys.path:
 
 from repro.core.controller.campaign import TestCampaign  # noqa: E402
 from repro.core.controller.controller import LFIController  # noqa: E402
-from repro.core.controller.executor import (  # noqa: E402
-    estimate_group_cost,
-    execute_group_batch,
-    plan_group_batches,
-)
 from repro.core.controller.memo import SuffixMemo  # noqa: E402
-from repro.core.controller.prefix import build_group_tasks  # noqa: E402
 from repro.core.exploration.store import ResultStore  # noqa: E402
 from repro.core.profiler.cache import artifact_cache_stats  # noqa: E402
-from repro.core.scenario.builder import ScenarioBuilder  # noqa: E402
 from repro.distributed.campaignd import CampaignCoordinator  # noqa: E402
 from repro.distributed.client import CampaignClient  # noqa: E402
 from repro.distributed.spec import CampaignSpec, build_engine  # noqa: E402
@@ -198,113 +182,7 @@ def bench_cross_workload(workloads, scenario_cap, repeats) -> dict:
 
 
 # ----------------------------------------------------------------------
-# 3. adaptive_sched: skewed groups, static vs adaptive makespan
-# ----------------------------------------------------------------------
-#: Every count in the big family genuinely fires on ``default-tests``
-#: (malloc is called 7 times there), so each member pays a real suffix.
-_FAMILY_ERRNOS = (
-    "ENOMEM", "EAGAIN", "EINTR", "EIO", "ENOSPC", "EACCES", "EFAULT",
-    "EINVAL", "ENFILE", "EMFILE", "ENODEV", "EPERM", "ENOENT", "EBADF",
-    "EROFS", "EISDIR",
-)
-
-
-def _fault_family(function, counts, errnos, return_value):
-    scenarios = []
-    for nth in counts:
-        for errno in errnos:
-            builder = ScenarioBuilder(f"{function}-{nth}-{errno}")
-            builder.trigger("count", "CallCountTrigger", nth=nth)
-            builder.inject(function, ["count"], return_value=return_value,
-                           errno=errno)
-            scenarios.append(builder.build())
-    return scenarios
-
-
-def _skewed_scenarios(family_errnos):
-    return (
-        _fault_family("malloc", range(1, 8), family_errnos, 0)
-        + _fault_family("open", range(1, 6), ("EACCES", "ENOENT"), -1)
-        + _fault_family("close", range(1, 6), ("EIO",), -1)
-        + _fault_family("write", range(1, 4), ("ENOSPC",), -1)
-    )
-
-
-def bench_adaptive(shards, family_errnos, repeats) -> dict:
-    scenarios = _skewed_scenarios(family_errnos)
-    entries = [(index, s, None) for index, s in enumerate(scenarios)]
-    options = {"memo": False, "snapshots": True}
-
-    def make_tasks():
-        return build_group_tasks(
-            MiniGitTarget(), "default-tests", entries, options=options
-        )
-
-    ref_tasks = make_tasks()
-    family_size = max(len(task.entries) for task in ref_tasks)
-
-    def drain(policy, timed=True):
-        batches = plan_group_batches(ref_tasks, shards, policy=policy)
-        merged = {}
-        makespan = 0.0
-        for batch in batches:
-            # Each batch gets a fresh target instance: process-shard
-            # semantics, where every shard owns its boot/capture caches.
-            by_index = {task.index: task for task in make_tasks()}
-            fallback = MiniGitTarget()
-            fresh = dc_replace(batch, groups=[
-                dc_replace(group, target=by_index[group.index].target
-                           if group.index in by_index else fallback)
-                for group in batch.groups
-            ])
-            start = time.perf_counter()
-            merged.update(execute_group_batch(fresh))
-            makespan = max(makespan, time.perf_counter() - start)
-        signature = [
-            (merged[i].outcome.kind.value, merged[i].outcome.detail,
-             merged[i].injections)
-            for i in sorted(merged)
-        ]
-        return makespan, signature, batches
-
-    drain("static")  # warm process-global caches (predecode, profiles)
-    static_makespan = adaptive_makespan = None
-    static_signature = adaptive_signature = None
-    static_batches = adaptive_batches = None
-    for _ in range(repeats):
-        makespan, static_signature, static_batches = drain("static")
-        static_makespan = min(static_makespan or makespan, makespan)
-        makespan, adaptive_signature, adaptive_batches = drain("adaptive")
-        adaptive_makespan = min(adaptive_makespan or makespan, makespan)
-    assert static_signature == adaptive_signature, (
-        "adaptive schedule changed sweep results"
-    )
-    fired = sum(1 for kind, _detail, injections in static_signature if injections)
-
-    def modeled_makespan(batches):
-        return max(
-            sum(estimate_group_cost(group) for group in batch.groups)
-            for batch in batches
-        )
-
-    return {
-        "shards": shards,
-        "groups": len(ref_tasks),
-        "largest_family": family_size,
-        "runs": len(scenarios),
-        "injections_fired": fired,
-        "static_makespan_seconds": round(static_makespan, 4),
-        "adaptive_makespan_seconds": round(adaptive_makespan, 4),
-        "speedup_adaptive_vs_static": round(
-            static_makespan / adaptive_makespan, 2
-        ),
-        "modeled_static_makespan": round(modeled_makespan(static_batches), 2),
-        "modeled_adaptive_makespan": round(modeled_makespan(adaptive_batches), 2),
-    }
-
-
-# ----------------------------------------------------------------------
-# 4. fabric_check: the same oracle through campaignd
+# 3. fabric_check: the same oracle through campaignd
 # ----------------------------------------------------------------------
 def check_fabric(tmp_store) -> dict:
     spec_kwargs = dict(
@@ -358,13 +236,11 @@ def main() -> int:
     if args.smoke:
         scenario_cap, cross_cap = 48, 4
         workloads = ("status", "commit", "gc")
-        # The family must stay large even in smoke: splitting only beats
-        # round-robin when suffix work dominates per-batch fixed costs.
-        family_errnos, repeats = _FAMILY_ERRNOS, 1
+        repeats = 1
     else:
         scenario_cap, cross_cap = 200, 4
         workloads = ("default-tests", "status", "commit", "merge", "gc")
-        family_errnos, repeats = _FAMILY_ERRNOS, 3
+        repeats = 3
 
     with tempfile.TemporaryDirectory() as tmp:
         payload = {
@@ -374,7 +250,6 @@ def main() -> int:
             "cpu_count": os.cpu_count(),
             "resweep_memo": bench_resweep(scenario_cap, max(repeats, 2)),
             "cross_workload": bench_cross_workload(workloads, cross_cap, max(repeats, 2)),
-            "adaptive_sched": bench_adaptive(4, family_errnos, repeats),
             "fabric_check": check_fabric(os.path.join(tmp, "bench_sched.jsonl")),
         }
 
@@ -384,7 +259,6 @@ def main() -> int:
 
     resweep = payload["resweep_memo"]
     cross = payload["cross_workload"]
-    adaptive = payload["adaptive_sched"]
     print(f"resweep_memo: cold {resweep['cold_seconds']}s, warm "
           f"{resweep['warm_seconds']}s -> {resweep['speedup_warm_vs_cold']}x "
           f"({resweep['memo_hits']} hits)")
@@ -394,13 +268,6 @@ def main() -> int:
           f"{cross['speedup_shared_vs_per_workload']}x "
           f"({cross['boot_misses_shared_scope']} boot build vs "
           f"{cross['boot_misses_per_workload_scope']})")
-    print(f"adaptive_sched: static makespan "
-          f"{adaptive['static_makespan_seconds']}s, adaptive "
-          f"{adaptive['adaptive_makespan_seconds']}s -> "
-          f"{adaptive['speedup_adaptive_vs_static']}x on "
-          f"{adaptive['groups']} groups (largest family "
-          f"{adaptive['largest_family']}, {adaptive['injections_fired']} "
-          f"of {adaptive['runs']} runs fired)")
     print(f"fabric_check: {payload['fabric_check']['records']} records "
           f"bit-identical through campaignd")
     print(f"wrote {args.output}")
@@ -410,8 +277,6 @@ def main() -> int:
         below.append("warm memo re-sweep below the 5x target")
     if cross["speedup_shared_vs_per_workload"] < 1.0:
         below.append("cross-workload sharing slower than per-workload boots")
-    if adaptive["speedup_adaptive_vs_static"] < 1.0:
-        below.append("adaptive scheduling slower than static round-robin")
     for line in below:
         print(f"WARNING: {line}", file=sys.stderr)
     if below and not args.smoke:

@@ -63,10 +63,11 @@ Two knobs worth knowing about:
   win in ``BENCH_snapshot.json``.
 * **parallel prefix groups, prefix trees, errno-blind suffixes** — prefix
   sharing composes with the pool backends: ``share_prefixes=True`` with
-  ``parallelism="processes:4"`` ships each scenario group to a worker as
-  one task (``run_groups`` in ``repro.core.controller.executor``) — the
-  worker runs the probe and resumes the siblings locally, so the two
-  throughput levers multiply instead of cancelling.  Groups are
+  ``parallelism="processes:4"`` ships the scenario groups to the workers
+  in batches (``run_group_batches`` in
+  ``repro.core.controller.executor``) — each worker runs a group's probe
+  and resumes the siblings locally, so the two throughput levers
+  multiply instead of cancelling.  Groups are
   hierarchical: call-count variants of one site share the sub-prefix up to
   their earliest divergence via nested mid-run captures, and suffixes that
   never read ``errno`` (a libc errno-read counter proves it) collapse

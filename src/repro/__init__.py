@@ -108,10 +108,10 @@ points.  Suffixes that never read ``errno`` (tracked by a libc errno-read
 counter the compiled engine maintains for free via predecode
 specialization) make errno-only variants *suffix replicas*: one run, the
 logged errno patched per member.  Sharing also composes with every
-execution backend: each group ships to the pool as one
-:class:`~repro.core.controller.executor.GroupTask` (``run_groups`` /
-``run_groups_iter``), whose worker runs the probe and resumes the siblings
-locally, so ``share_prefixes=True, parallelism="processes:4"`` multiplies
+execution backend: each group ships to the pool inside one
+:class:`~repro.core.controller.executor.GroupBatchTask`
+(``run_group_batches``), whose worker runs each probe and resumes the
+siblings locally, so ``share_prefixes=True, parallelism="processes:4"`` multiplies
 the two levers instead of silently dropping one.  The Python-level
 mini_apache target forks its server world the same way — captured once,
 restored per member in O(touched state), no ``copy.deepcopy``.  All of it
@@ -155,11 +155,9 @@ a slow reference oracle the differential suite holds it to:
    (:mod:`repro.core.controller.executor`) — groups are packed into one
    :class:`GroupBatchTask` per worker and each worker drains its batch
    back-to-back (warm template, one result message) instead of paying a
-   pool round trip per group.  The default packing is cost-adaptive:
-   oversized prefix families split into sub-groups and batches balance
-   by modeled cost (LPT) rather than naive round-robin.  Knobs:
-   ``parallelism=``, ``group_sched=`` / ``REPRO_GROUP_SCHED``
-   (``adaptive`` | ``static``).
+   pool round trip per group.  Oversized prefix families split into
+   sub-groups and batches balance by estimated cost (LPT).  Knob:
+   ``parallelism=``.
 5. **Delta result channel** (:mod:`repro.targets.base`,
    :mod:`repro.oslib.os_model`) — workers publish each run's OS as a
    :class:`~repro.targets.base.DeltaOSClone` carrying only the subsystems
@@ -191,8 +189,8 @@ errno, and every behaviour-relevant execution knob — to pickled results,
 so re-sweeps, resumed campaigns, and overlapping specs on a long-lived
 fabric worker answer from the memo instead of re-executing the suffix
 (``memo=`` / ``REPRO_MEMO`` / ``REPRO_MEMO_BYTES``; ``memo=False`` is
-the differential oracle path).  Group batches are planned by a cost
-model (:func:`~repro.core.controller.executor.plan_group_batches`):
+the differential oracle path).  Group batches are planned by
+estimated cost (:func:`~repro.core.controller.executor.plan_group_batches`):
 skewed prefix families split into sub-groups that re-resume from the
 shared capture, and batches pack by longest-processing-time.  The full
 pipeline — group keys → prefix tree → suffix memo → adaptive split —
@@ -201,8 +199,8 @@ boot-template and memo hit/miss counters in
 :attr:`CampaignResult.stats <repro.core.controller.campaign.CampaignResult>`
 and ``repro-campaign status``.  ``benchmarks/bench_sched.py`` tracks the
 layer in ``BENCH_sched.json`` (warm-memo re-sweeps, cross-workload
-boot-template reuse, adaptive vs round-robin makespan — every leg
-asserted bit-identical to the memo-free serial oracle).
+boot-template reuse — every leg asserted bit-identical to the memo-free
+serial oracle).
 
 **The campaign fabric: a resident coordinator and worker nodes.**  For
 explorations that outlive one process, :mod:`repro.distributed` runs the
@@ -251,14 +249,9 @@ steers rounds toward fault points whose neighbours unlocked new
 recovery-code coverage — the paper's own Table 3 metric — and stops at
 a coverage plateau instead of sweeping the full space; the static
 strategies are behaviour-identical single-round planners and remain the
-differential oracle.  The fixed suffix-cost constant that steered LPT
-group packing became a learned, serializable
-:class:`~repro.core.controller.costmodel.CostModel` (online least
-squares over measured group runtimes, blended with the 0.35 prior), and
-protocol v3 teaches the campaign fabric central round planning: the
-coordinator holds the planner, leases only the current round as
-explicit ``(index, point key)`` assignments, and aggregates cost-model
-observations fleet-wide.  Adaptive runs obey *"spec + completed results
+differential oracle.  On the campaign fabric the coordinator holds the
+planner and leases only the current round as explicit ``(index, point
+key)`` assignments.  Adaptive runs obey *"spec + completed results
 ⇒ next round"*, so serial, pooled, and distributed explorations of the
 same store are bit-identical.  Reference: ``doc/ADAPTIVE.md``.
 

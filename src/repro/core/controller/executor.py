@@ -30,11 +30,10 @@ Three task shapes exist.  :class:`ExecutionTask` is one scenario run — the
 plain per-scenario fan-out.  :class:`GroupTask` is one whole **prefix
 group** (see :mod:`repro.core.controller.prefix`): the worker runs the
 group's probe once and resumes every sibling locally, so prefix sharing and
-pool parallelism compose instead of cancelling — ``run_groups`` /
-``run_groups_iter`` are the group-per-task entry points.
+pool parallelism compose instead of cancelling.
 :class:`GroupBatchTask` is the run-to-completion shape: the campaign's
-groups are sharded round-robin into one batch per worker up front
-(:func:`shard_group_tasks`) and each worker drains its batch back-to-back —
+groups are packed into at most one batch per worker up front
+(:func:`plan_group_batches`) and each worker drains its batch back-to-back —
 warm boot template, one result message — instead of paying a pool round
 trip per group; ``run_group_batches`` / ``run_group_batches_iter`` are its
 entry points.
@@ -60,11 +59,6 @@ from typing import (
     Union,
 )
 
-from repro.core.controller.costmodel import (
-    SUFFIX_COST_FRACTION,
-    CostModel,
-    default_cost_model,
-)
 from repro.core.controller.monitor import RunResult
 from repro.core.controller.target import TargetAdapter, WorkloadRequest
 
@@ -178,85 +172,25 @@ def execute_group_batch(batch: GroupBatchTask) -> Dict[int, RunResult]:
     return merged
 
 
-def shard_group_tasks(
-    tasks: Sequence[GroupTask], shards: int
-) -> List[GroupBatchTask]:
-    """Interleave *tasks* round-robin into at most *shards* batches.
-
-    The static ("round-robin") scheduling policy.  Round-robin rather than
-    contiguous slicing: campaign builders emit groups in fault-space
-    order, which correlates neighbouring groups' sizes, so contiguous
-    shards would load-balance poorly.  Interleaving by sorted group index
-    keeps the assignment deterministic (independent of completion order)
-    while spreading heavy neighbourhoods across workers.  Every returned
-    batch is non-empty — with more workers than groups the surplus
-    workers get no batch at all rather than a no-op dispatch.
-    """
-    ordered = sorted(tasks, key=lambda task: task.index)
-    if not ordered:
-        return []
-    shards = max(1, min(shards, len(ordered)))
-    batches = [GroupBatchTask(index=index) for index in range(shards)]
-    for position, task in enumerate(ordered):
-        batches[position % shards].groups.append(task)
-    return [batch for batch in batches if batch.groups]
-
-
 # ----------------------------------------------------------------------
-# cost-adaptive group scheduling
+# group packing
 # ----------------------------------------------------------------------
-# The suffix/probe cost ratio is no longer a constant: the process-wide
-# CostModel (repro.core.controller.costmodel) measures per-group
-# probe/suffix runtimes online — fed from _run_entry_group_direct — with
-# the historical 0.35 as the prior a fresh model reproduces exactly.
-# SUFFIX_COST_FRACTION is re-exported above for callers wanting the raw
-# prior.
-
-#: Accepted ``group_sched`` / ``REPRO_GROUP_SCHED`` policy names.
-GROUP_SCHEDULE_POLICIES = ("adaptive", "static")
+#: A resumed suffix costs about this fraction of a full probe run.  Only
+#: relative group costs matter to the packer.
+SUFFIX_COST_FRACTION = 0.35
 
 
-def resolve_group_schedule(policy: Optional[str] = None) -> str:
-    """Normalise a group-scheduling policy name (``None`` = environment).
-
-    ``adaptive`` (the default) is cost-model-driven splitting + LPT
-    packing (:func:`plan_group_batches`); ``static`` (aliases
-    ``round-robin``/``rr``) is the historical :func:`shard_group_tasks`
-    interleaving.  ``REPRO_GROUP_SCHED`` sets the process default.
-    """
-    if policy is None:
-        policy = os.environ.get("REPRO_GROUP_SCHED") or "adaptive"
-    name = str(policy).strip().lower()
-    if name in ("round-robin", "roundrobin", "rr"):
-        name = "static"
-    if name not in GROUP_SCHEDULE_POLICIES:
-        raise ValueError(
-            f"unknown group schedule policy {policy!r}; known policies: "
-            f"{', '.join(GROUP_SCHEDULE_POLICIES)} (alias: round-robin)"
-        )
-    return name
-
-
-def estimate_group_cost(
-    task: GroupTask,
-    suffix_fraction: Optional[float] = None,
-    model: Optional[CostModel] = None,
-) -> float:
+def estimate_group_cost(task: GroupTask) -> float:
     """Estimated cost of draining *task*, in units of one full run.
 
-    One full probe run plus a fractional suffix per additional member.
-    The fraction comes from the learned :class:`CostModel` (the
-    process-wide default unless ``model`` is given) — a fresh model
-    yields the 0.35 prior — or from an explicit ``suffix_fraction``
-    override.  Workload length scales every group of one campaign
-    equally, so it cancels out of the packing decision and is left out.
+    One full probe run plus :data:`SUFFIX_COST_FRACTION` per additional
+    member.  Workload length scales every group of one campaign equally,
+    so it cancels out of the packing decision and is left out.
     """
     members = len(task.entries)
     if members <= 0:
         return 0.0
-    if suffix_fraction is None:
-        suffix_fraction = (model or default_cost_model()).suffix_fraction()
-    return 1.0 + (members - 1) * suffix_fraction
+    return 1.0 + (members - 1) * SUFFIX_COST_FRACTION
 
 
 def split_group_task(task: GroupTask, parts: int) -> List[GroupTask]:
@@ -285,68 +219,45 @@ def split_group_task(task: GroupTask, parts: int) -> List[GroupTask]:
 
 
 def plan_group_batches(
-    tasks: Sequence[GroupTask],
-    shards: int,
-    policy: Optional[str] = None,
-    model: Optional[CostModel] = None,
+    tasks: Sequence[GroupTask], shards: int
 ) -> List[GroupBatchTask]:
     """Plan the per-worker batches for a campaign's groups.
 
-    The ``adaptive`` policy replaces static round-robin with a cost
-    model: any group whose estimated cost exceeds the fair per-worker
-    share is split into rank-ordered sub-groups
-    (:func:`split_group_task`) so one huge errno family no longer
-    serializes a whole campaign on a single worker, and the resulting
+    Any group whose estimated cost (:func:`estimate_group_cost`) exceeds
+    the fair per-worker share is split into rank-ordered sub-groups
+    (:func:`split_group_task`) so one huge errno family does not
+    serialize a whole campaign on a single worker, and the resulting
     tasks are LPT-packed (longest processing time first onto the least
-    loaded shard) into at most *shards* batches.  Group costs use the
-    learned :class:`CostModel`'s current suffix fraction, sampled **once
-    per plan** so concurrent observations cannot skew one plan's
-    internal consistency.  The plan is a pure function of ``(tasks,
-    shards, policy, fraction)`` — deterministic tie-breaking by task
-    index — and never emits an empty batch, so every dispatched batch
-    does real work and every member index appears exactly once.
+    loaded shard) into at most *shards* batches.  The plan is a pure
+    function of ``(tasks, shards)`` — deterministic tie-breaking by task
+    index, independent of input order — and never emits an empty batch,
+    so every dispatched batch does real work and every member index
+    appears exactly once.
     """
-    name = resolve_group_schedule(policy)
     ordered = sorted(tasks, key=lambda task: task.index)
     if not ordered:
         return []
     shards = max(1, int(shards))
-    if name == "static":
-        batches = shard_group_tasks(ordered, shards)
-    else:
-        fraction = (model or default_cost_model()).suffix_fraction()
-
-        def cost(task: GroupTask) -> float:
-            return estimate_group_cost(task, suffix_fraction=fraction)
-
-        total = sum(cost(task) for task in ordered)
-        fair = total / shards
-        expanded: List[GroupTask] = []
-        for task in ordered:
-            if shards > 1 and len(task.entries) > 1 and cost(task) > fair:
-                expanded.extend(
-                    split_group_task(task, math.ceil(cost(task) / max(fair, 1e-9)))
-                )
-            else:
-                expanded.append(task)
-        expanded = [
-            replace(task, index=position) for position, task in enumerate(expanded)
-        ]
-        heap: List[Tuple[float, int]] = [(0.0, shard) for shard in range(shards)]
-        heapq.heapify(heap)
-        assignment: List[List[GroupTask]] = [[] for _ in range(shards)]
-        for task in sorted(expanded, key=lambda task: (-cost(task), task.index)):
-            load, shard = heapq.heappop(heap)
-            assignment[shard].append(task)
-            heapq.heappush(heap, (load + cost(task), shard))
-        batches = [
-            GroupBatchTask(index=0, groups=sorted(groups, key=lambda task: task.index))
-            for groups in assignment
-            if groups
-        ]
+    total = sum(estimate_group_cost(task) for task in ordered)
+    fair = total / shards
+    expanded: List[GroupTask] = []
+    for task in ordered:
+        cost = estimate_group_cost(task)
+        if shards > 1 and len(task.entries) > 1 and cost > fair:
+            expanded.extend(split_group_task(task, math.ceil(cost / max(fair, 1e-9))))
+        else:
+            expanded.append(task)
+    expanded = [replace(task, index=position) for position, task in enumerate(expanded)]
+    heap: List[Tuple[float, int]] = [(0.0, shard) for shard in range(shards)]
+    heapq.heapify(heap)
+    assignment: List[List[GroupTask]] = [[] for _ in range(shards)]
+    for task in sorted(expanded, key=lambda task: (-estimate_group_cost(task), task.index)):
+        load, shard = heapq.heappop(heap)
+        assignment[shard].append(task)
+        heapq.heappush(heap, (load + estimate_group_cost(task), shard))
     return [
-        GroupBatchTask(index=position, groups=batch.groups)
-        for position, batch in enumerate(batches)
+        GroupBatchTask(index=position, groups=sorted(groups, key=lambda task: task.index))
+        for position, groups in enumerate(group for group in assignment if group)
     ]
 
 
@@ -396,28 +307,6 @@ class ExecutionBackend(ABC):
         ordered = sorted(tasks, key=lambda task: task.index)
         return self._pair_iter(execute_task, ordered)
 
-    def run_groups(self, tasks: Sequence[GroupTask]) -> List[Dict[int, RunResult]]:
-        """Execute prefix-group tasks; results ordered by group index.
-
-        Each returned mapping pairs member submission indices with their
-        results; pooled backends run whole groups concurrently (one worker
-        executes a group's probe and resumes its siblings locally).
-        """
-        ordered = sorted(tasks, key=lambda task: task.index)
-        return self.map(execute_group, [(task,) for task in ordered])
-
-    def run_groups_iter(
-        self, tasks: Sequence[GroupTask]
-    ) -> Iterator[Tuple[GroupTask, Dict[int, RunResult]]]:
-        """Yield ``(group task, member results)`` pairs incrementally.
-
-        Pool backends yield groups in **completion** order (like
-        :meth:`run_tasks_iter`) so callers can checkpoint a finished
-        group's runs while slower groups are still executing.
-        """
-        ordered = sorted(tasks, key=lambda task: task.index)
-        return self._pair_iter(execute_group, ordered)
-
     def worker_count(self) -> int:
         """How many tasks this backend can execute concurrently.
 
@@ -427,28 +316,24 @@ class ExecutionBackend(ABC):
         """
         return 1
 
-    def run_group_batches(
-        self, tasks: Sequence[GroupTask], schedule: Optional[str] = None
-    ) -> Dict[int, RunResult]:
+    def run_group_batches(self, tasks: Sequence[GroupTask]) -> Dict[int, RunResult]:
         """Drain *tasks* run-to-completion: one batch of groups per worker.
 
         Instead of a task-per-group fan-out (pool round trip — submit,
         pickle, result, repeat — per group), the groups are planned into
         at most :meth:`worker_count` batches up front
-        (:func:`plan_group_batches`, cost-adaptive by default;
-        ``schedule="static"`` selects the round-robin interleave) and each
-        worker drains its whole batch before returning.  Results come back
+        (:func:`plan_group_batches`) and each worker drains its whole batch before returning.  Results come back
         keyed by member submission index, so the merged mapping is
         deterministic regardless of batch completion order.
         """
-        batches = plan_group_batches(tasks, self.worker_count(), policy=schedule)
+        batches = plan_group_batches(tasks, self.worker_count())
         merged: Dict[int, RunResult] = {}
         for results in self.map(execute_group_batch, [(batch,) for batch in batches]):
             merged.update(results)
         return merged
 
     def run_group_batches_iter(
-        self, tasks: Sequence[GroupTask], schedule: Optional[str] = None
+        self, tasks: Sequence[GroupTask]
     ) -> Iterator[Tuple["GroupBatchTask", Dict[int, RunResult]]]:
         """Yield ``(batch, member results)`` pairs as batches drain.
 
@@ -456,7 +341,7 @@ class ExecutionBackend(ABC):
         is one batch (several groups) rather than one group — the price of
         eliminating the per-group pool round trips.
         """
-        batches = plan_group_batches(tasks, self.worker_count(), policy=schedule)
+        batches = plan_group_batches(tasks, self.worker_count())
         return self._pair_iter(execute_group_batch, batches)
 
     def close(self) -> None:
@@ -687,10 +572,8 @@ def run_requests(
 
 
 __all__ = [
-    "CostModel",
     "ExecutionBackend",
     "ExecutionTask",
-    "GROUP_SCHEDULE_POLICIES",
     "GroupBatchTask",
     "GroupTask",
     "ParallelismSpec",
@@ -699,7 +582,6 @@ __all__ = [
     "SerialBackend",
     "ThreadPoolBackend",
     "backend_scope",
-    "default_cost_model",
     "derive_run_seed",
     "estimate_group_cost",
     "execute_group",
@@ -707,8 +589,6 @@ __all__ = [
     "execute_task",
     "plan_group_batches",
     "resolve_backend",
-    "resolve_group_schedule",
     "run_requests",
-    "shard_group_tasks",
     "split_group_task",
 ]

@@ -45,20 +45,17 @@ triggers, no ``@shared_object`` parameters) are grouped, and only targets
 that declare ``prefix_shareable`` (deterministic modulo the injected fault)
 participate.  Everything else runs on the plain per-scenario path.  The
 differential suite asserts shared campaigns are bit-identical to unshared
-ones — serial and pooled (see ``run_groups`` in
-:mod:`repro.core.controller.executor`, which executes whole groups as
+ones — serial and pooled (see ``run_group_batches`` in
+:mod:`repro.core.controller.executor`, which executes whole groups inside
 backend tasks so sharing composes with the pool backends).
 """
 
 from __future__ import annotations
 
 import copy
-import time
 import weakref
 from dataclasses import replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.core.controller.costmodel import observe_group_runtime
 
 from repro.core.controller.monitor import (
     Outcome,
@@ -255,8 +252,8 @@ def build_group_tasks(
     :class:`~repro.core.controller.executor.GroupTask` each (the worker
     shares the prefix internally); ungrouped entries ride along as
     singleton groups, which :func:`run_entry_group` executes on the plain
-    per-scenario path — so one ``run_groups`` batch covers the whole
-    schedule.
+    per-scenario path — so one ``run_group_batches`` call covers the
+    whole schedule.
     """
     from repro.core.controller.executor import GroupTask
 
@@ -317,8 +314,8 @@ def _has_session_api(target: Any) -> bool:
 #: which never consult the seed, so keying on it would split cache lines
 #: between specs/strategies that derive different seeds for identical runs
 #: (the differential suite pins exactly this seed-independence).  ``memo``
-#: and ``group_sched`` are pure scheduling knobs.
-_MEMO_NEUTRAL_OPTIONS = frozenset({"run_seed", "memo", "group_sched", "engine", "snapshots"})
+#: is a pure scheduling knob.
+_MEMO_NEUTRAL_OPTIONS = frozenset({"run_seed", "memo", "engine", "snapshots"})
 
 
 def _memo_context(
@@ -1187,32 +1184,7 @@ def _run_entry_group_direct(
     options: Dict[str, Any],
     observe_only: bool = False,
 ) -> Dict[int, RunResult]:
-    """The memo-free group execution paths (probe + resume/replicate).
-
-    Every direct execution (memo hits never reach here) is timed and fed
-    to the process-wide :class:`~repro.core.controller.costmodel.CostModel`
-    as one ``(members, elapsed)`` observation — the raw material the
-    scheduler's learned suffix fraction is fitted from.
-    """
-    started = time.perf_counter()
-    try:
-        results = _run_entry_group_paths(
-            target, workload, members, collect_coverage, options,
-            observe_only=observe_only,
-        )
-    finally:
-        observe_group_runtime(len(members), time.perf_counter() - started)
-    return results
-
-
-def _run_entry_group_paths(
-    target: TargetAdapter,
-    workload: str,
-    members: Sequence[Entry],
-    collect_coverage: bool,
-    options: Dict[str, Any],
-    observe_only: bool = False,
-) -> Dict[int, RunResult]:
+    """The memo-free group execution paths (probe + resume/replicate)."""
     if len(members) == 1:
         index, scenario, seed = members[0]
         return {

@@ -388,7 +388,7 @@ class ExplorationEngine:
             ):
                 yield index, result
         elif sharing:
-            # Run-to-completion fan-out: groups are sharded into one
+            # Run-to-completion fan-out: groups are packed into one
             # batch per worker and each worker drains its batch without
             # pool round trips between groups.  Checkpoint cadence is
             # therefore one *batch* (several groups) — coarser than the
@@ -399,9 +399,7 @@ class ExplorationEngine:
                 collect_coverage=collect_coverage,
                 options=dict(self.request_options),
             )
-            for _batch, batch_results in backend.run_group_batches_iter(
-                tasks, schedule=self.request_options.get("group_sched")
-            ):
+            for _batch, batch_results in backend.run_group_batches_iter(tasks):
                 for index in sorted(batch_results):
                     yield index, batch_results[index]
         else:
@@ -518,7 +516,7 @@ class ExplorationEngine:
     ) -> Iterator[StoredResult]:
         """Execute explicit ``(schedule index, point key)`` assignments.
 
-        The protocol-v3 worker entry point for **adaptive** campaigns: the
+        The fabric worker's entry point for **adaptive** campaigns: the
         coordinator plans rounds centrally (it holds the feedback), so a
         lease names its points explicitly instead of by derivable schedule
         position.  Seeds still derive from the shipped indices — the

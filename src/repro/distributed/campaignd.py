@@ -10,8 +10,10 @@ kinds of peers:
   and cancel campaigns;
 * **workers** (`repro-campaignd worker`) pull *shard leases* — batches of
   schedule indices — execute them on their local engine/pool stack, and
-  stream result records back (batched k-per-message on protocol ≥ 2,
-  per-record against older peers).
+  stream result records back, k per ``result_batch`` message.
+
+Every peer opens with ``hello`` carrying :data:`PROTOCOL_VERSION`; a peer
+speaking any other version is answered ``error`` and disconnected.
 
 Shard leases are *group-aware*: :func:`plan_lease_shards` co-locates a
 prefix group's members in one lease, so the worker that drains them shares
@@ -47,12 +49,9 @@ ahead-of-time schedule, so the coordinator owns the campaign's
 :class:`~repro.core.exploration.engine.RoundPlanner`: it holds the
 authoritative store, which is exactly what the determinism contract needs
 ("spec + completed results ⇒ next round", ``doc/ADAPTIVE.md``).  Adaptive
-shard leases carry explicit ``(index, point key)`` assignments — plus the
-fleet-aggregate cost-model snapshot — and only ever cover the *current*
-round; when the round's last record lands, the next round is planned
-under the lock and its shards enqueue immediately.  Only protocol ≥ 3
-workers are leased adaptive shards (``fetch`` advertises the worker's
-version); older workers keep draining static campaigns unchanged.
+shard leases carry explicit ``(index, point key)`` assignments and only
+ever cover the *current* round; when the round's last record lands, the
+next round is planned under the lock and its shards enqueue immediately.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.controller.costmodel import CostModel
 from repro.core.exploration.engine import RoundPlanner
 from repro.core.exploration.store import ResultStore, StoredResult
 from repro.distributed.protocol import (
@@ -213,9 +211,6 @@ class _Campaign:
         self.point_keys: List[str] = (
             [point.key for point in planner.schedule] if planner is not None else []
         )
-        #: Fleet-aggregate learned cost model, fed by ``shard_done`` cost
-        #: counters and shipped back to workers inside adaptive leases.
-        self.cost_model = CostModel()
         self.queue: Deque[List[int]] = deque(
             shard_plan
             if shard_plan is not None
@@ -227,8 +222,9 @@ class _Campaign:
         self.leases: Dict[str, _Lease] = {}
         #: Summed worker-reported cache deltas (``shard_done`` stats).
         self.worker_cache_stats: Dict[str, float] = {}
-        #: Fresh results in arrival order, for `tail` streaming.
-        self.events: List[Dict[str, Any]] = []
+        #: Store keys of fresh results in arrival order, for `tail`
+        #: streaming; each event is encoded from the store when sent.
+        self.events: List[str] = []
         if planner is not None:
             self.state = "complete" if planner.done else "running"
         else:
@@ -266,10 +262,6 @@ class _Campaign:
             "active_leases": len(self.leases),
             "workers_seen": sorted(self.workers_seen),
             "cache": dict(self.worker_cache_stats),
-            "cost_model": {
-                "observations": self.cost_model.observations(),
-                "suffix_fraction": round(self.cost_model.suffix_fraction(), 4),
-            },
         }
         if self.planner is not None:
             payload["planner"] = self.planner.summary()
@@ -424,6 +416,15 @@ class CampaignCoordinator:
         """Handle one message; returns True when the connection should end."""
         kind = message.get("type")
         if kind == "hello":
+            if message.get("version") != PROTOCOL_VERSION:
+                stream.send({
+                    "type": "error",
+                    "error": (
+                        f"unsupported protocol version {message.get('version')!r}; "
+                        f"this coordinator speaks version {PROTOCOL_VERSION}"
+                    ),
+                })
+                return True
             stream.send({
                 "type": "welcome",
                 "server": "repro-campaignd",
@@ -454,9 +455,6 @@ class CampaignCoordinator:
             return False
         if kind == "fetch":
             stream.send(self._handle_fetch(message))
-            return False
-        if kind == "result":
-            stream.send(self._handle_result(message))
             return False
         if kind == "result_batch":
             stream.send(self._handle_result_batch(message))
@@ -636,11 +634,18 @@ class CampaignCoordinator:
                     and campaign.state == "running"
                 ):
                     self._cond.wait(timeout=0.5)
-                batch = campaign.events[seq:]
+                keys = campaign.events[seq:]
                 state = campaign.state
                 running = self._running
-            for event in batch:
-                stream.send(event)
+            for key in keys:
+                # Stored records are never replaced (first completion
+                # wins), so encoding outside the lock is safe.
+                stream.send({
+                    "type": "result",
+                    "campaign_id": campaign.id,
+                    "seq": seq,
+                    "record": campaign.store.get(key).to_dict(),
+                })
                 seq += 1
             if not running or not follow or state != "running":
                 stream.send({
@@ -691,19 +696,11 @@ class CampaignCoordinator:
 
     def _handle_fetch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         worker_id = str(message.get("worker_id", "anonymous"))
-        try:
-            # Protocol ≥ 3 workers advertise their version on fetch; a
-            # version-less fetch is an older worker and is never handed an
-            # adaptive shard (it could not interpret the assignments).
-            worker_version = int(message.get("version", 1))
-        except (TypeError, ValueError):
-            worker_version = 1
         with self._lock:
             self._reap_expired_leases()
             running = [
                 campaign for campaign in self._campaigns.values()
                 if campaign.state == "running" and campaign.queue
-                and (worker_version >= 3 or not campaign.adaptive)
             ]
             if not running:
                 return {"type": "idle", "retry_after": 0.2}
@@ -735,7 +732,6 @@ class CampaignCoordinator:
                 reply["assignments"] = [
                     [index, campaign.point_keys[index]] for index in indices
                 ]
-                reply["cost_model"] = campaign.cost_model.to_dict()
             return reply
 
     def _find_lease(self, lease_id: Optional[str]) -> Optional[Tuple[_Campaign, _Lease]]:
@@ -761,12 +757,7 @@ class CampaignCoordinator:
         if fresh:
             campaign.completed_count += 1
             campaign.executed += 1
-            campaign.events.append({
-                "type": "result",
-                "campaign_id": campaign.id,
-                "seq": len(campaign.events),
-                "record": record.to_dict(),
-            })
+            campaign.events.append(record.key)
         if campaign.planner is not None:
             # Feed the round planner.  Duplicate deliveries (stale leases
             # re-executing a member) are ignored by the planner itself —
@@ -812,24 +803,8 @@ class CampaignCoordinator:
         )
         campaign.queue.extend(shards)
 
-    def _handle_result(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        record_payload = message.get("record")
-        if not isinstance(record_payload, dict):
-            raise ValueError("result message carries no record object")
-        record = StoredResult.from_dict(record_payload)
-        with self._lock:
-            found = self._find_lease(message.get("lease_id"))
-            if found is None:
-                return {"type": "stale_lease"}
-            campaign, lease = found
-            self._accept_record(campaign, lease, record)
-            lease.deadline = time.monotonic() + self.lease_timeout
-            self._check_complete(campaign)
-            self._cond.notify_all()
-            return {"type": "ack", "remaining": len(lease.indices)}
-
     def _handle_result_batch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Accept one ``result_batch`` (protocol ≥ 2): k records, one ack.
+        """Accept one ``result_batch``: k records, one ack.
 
         Every record is parsed *before* any is stored, so a malformed
         record rejects the whole batch instead of leaving it half-ingested
@@ -877,14 +852,9 @@ class CampaignCoordinator:
             del campaign.leases[lease.lease_id]
             stats = message.get("stats")
             if isinstance(stats, dict):
-                # Protocol ≥ 3 cost-model counters (running-sum deltas)
-                # merge exactly into the campaign's fleet aggregate; the
-                # remaining numerics are cache deltas (protocol ≥ 2),
-                # summed per campaign for `repro-campaign status`.
-                self._ingest_cost_stats(campaign, stats)
+                # Worker cache deltas, summed per campaign for
+                # `repro-campaign status`.
                 for key, value in stats.items():
-                    if key.startswith("cost_"):
-                        continue
                     if isinstance(value, bool) or not isinstance(value, (int, float)):
                         continue
                     campaign.worker_cache_stats[key] = (
@@ -906,24 +876,6 @@ class CampaignCoordinator:
             self._check_complete(campaign)
             self._cond.notify_all()
             return {"type": "ack"}
-
-    @staticmethod
-    def _ingest_cost_stats(campaign: _Campaign, stats: Dict[str, Any]) -> None:
-        """Merge one shard's cost-model counter deltas into the campaign's
-        fleet-aggregate model (running sums merge exactly)."""
-        try:
-            n = int(stats.get("cost_observations", 0))
-            if n <= 0:
-                return
-            campaign.cost_model.observe_sums(
-                n,
-                float(stats.get("cost_sum_k", 0.0)),
-                float(stats.get("cost_sum_kk", 0.0)),
-                float(stats.get("cost_sum_t", 0.0)),
-                float(stats.get("cost_sum_kt", 0.0)),
-            )
-        except (TypeError, ValueError):
-            return
 
     def _check_complete(self, campaign: _Campaign) -> None:
         """Flip a running campaign to complete when every key is stored

@@ -15,7 +15,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.distributed.protocol import MAX_MESSAGE_BYTES, MessageStream, connect
+from repro.distributed.protocol import (
+    MAX_MESSAGE_BYTES,
+    PROTOCOL_VERSION,
+    MessageStream,
+    ProtocolError,
+    connect,
+)
 from repro.distributed.spec import CampaignSpec
 
 
@@ -38,9 +44,15 @@ class CampaignClient:
             address, retries=retries, backoff=backoff,
             max_message_bytes=max_message_bytes,
         )
-        reply = self._rpc({"type": "hello", "role": "client", "version": 1})
+        reply = self._rpc({"type": "hello", "role": "client", "version": PROTOCOL_VERSION})
         if reply.get("type") != "welcome":
             raise CampaignServerError(f"unexpected hello reply: {reply!r}")
+        if reply.get("version") != PROTOCOL_VERSION:
+            self._stream.close()
+            raise ProtocolError(
+                f"coordinator speaks protocol version {reply.get('version')!r}, "
+                f"not {PROTOCOL_VERSION}"
+            )
         self.server_info = reply
 
     # ------------------------------------------------------------------

@@ -35,23 +35,11 @@ from typing import Any, Dict, Optional, Tuple
 #: to this is a protocol violation, not a big workload.
 MAX_MESSAGE_BYTES = 1 << 20
 
-#: Protocol revision carried in every ``hello``.
-#:
-#: * 1 — initial fabric protocol (per-record ``result`` streaming).
-#: * 2 — worker→coordinator ``result_batch`` (k records per message) and
-#:   the optional ``stats`` cache-counter field on ``shard_done``.
-#:   Workers only batch when the coordinator's ``welcome`` advertises
-#:   version ≥ 2; version-1 coordinators keep receiving per-record
-#:   ``result`` messages, and version-1 workers keep working unchanged.
-#: * 3 — adaptive (round-planned) campaigns.  ``fetch`` carries the
-#:   worker's ``version``; the coordinator leases adaptive shards only to
-#:   workers advertising ≥ 3.  An adaptive ``shard`` reply carries
-#:   ``"adaptive": true``, explicit ``assignments`` (``[index, point_key]``
-#:   pairs — an adaptive schedule is not locally derivable), and the
-#:   coordinator's aggregate ``cost_model`` snapshot.  Version-2 workers
-#:   keep serving static campaigns unchanged (their version-less ``fetch``
-#:   defaults to 1 and is never handed an adaptive shard).
-PROTOCOL_VERSION = 3
+#: Protocol revision carried in every ``hello`` and ``welcome``.  There is
+#: exactly one: a peer announcing any other version is refused at the
+#: handshake (the coordinator answers ``error`` and closes; workers and
+#: clients raise :class:`ProtocolError` on a mismatched ``welcome``).
+PROTOCOL_VERSION = 4
 
 
 class ProtocolError(Exception):

@@ -4,8 +4,8 @@ A :class:`CampaignWorker` pulls shard leases from the coordinator, turns
 each lease's schedule indices back into scenarios (the spec is enough —
 see :mod:`repro.distributed.spec`), executes them through the local
 engine/pool stack (boot-template cache, prefix sharing, whatever
-``parallelism`` selects), and streams one result record per completed run
-back over the same connection.
+``parallelism`` selects), and streams the result records back over the
+same connection in ``result_batch`` messages.
 
 Failure behaviour, which is most of what a worker *is*:
 
@@ -33,7 +33,6 @@ import uuid
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.controller.costmodel import default_cost_model
 from repro.core.controller.executor import ParallelismSpec
 from repro.core.controller.memo import suffix_memo_stats
 from repro.core.profiler.cache import artifact_cache_stats
@@ -55,17 +54,15 @@ MAX_CACHED_ENGINES = 64
 
 
 def _cache_stats_snapshot() -> Dict[str, float]:
-    """Current boot-template, suffix-memo, and cost-model counters of this
-    process.
+    """Current boot-template and suffix-memo counters of this process.
 
     Shard deltas of these are reported on ``shard_done`` so the
     coordinator can explain fabric throughput (memo hit rates, template
-    reuse) and aggregate measured group costs fleet-wide (the ``cost_*``
-    running sums merge exactly) without any extra round trips.
+    reuse) without any extra round trips.
     """
     cache = artifact_cache_stats()
     memo = suffix_memo_stats()
-    stats: Dict[str, float] = {
+    return {
         "boot_hits": cache.boot_hits,
         "boot_misses": cache.boot_misses,
         "boot_shared_hits": cache.boot_shared_hits,
@@ -74,8 +71,6 @@ def _cache_stats_snapshot() -> Dict[str, float]:
         "memo_stores": memo.stores,
         "memo_evictions": memo.evictions,
     }
-    stats.update(default_cost_model().snapshot_counters())
-    return stats
 
 
 class _LeaseLost(Exception):
@@ -103,12 +98,10 @@ class CampaignWorker:
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
         self.max_message_bytes = max_message_bytes
-        #: Records per ``result_batch`` message (1 = per-record streaming).
-        #: Only engaged against coordinators speaking protocol ≥ 2.
+        #: Records per ``result_batch`` message (1 = one message per record).
         self.result_batch_size = max(1, int(result_batch_size))
 
         self._stream: Optional[MessageStream] = None
-        self._coordinator_version = 1
         self._rpc_lock = threading.Lock()
         self._stop = threading.Event()
         #: Engines are cached per execution key (see
@@ -139,12 +132,9 @@ class CampaignWorker:
                 "worker_id": self.worker_id,
                 "version": PROTOCOL_VERSION,
             })
-            if reply.get("type") != "welcome":
-                raise ProtocolError(f"unexpected hello reply: {reply!r}")
-            try:
-                self._coordinator_version = int(reply.get("version", 1))
-            except (TypeError, ValueError):
-                self._coordinator_version = 1
+            if reply.get("type") != "welcome" or reply.get("version") != PROTOCOL_VERSION:
+                self._drop_stream()
+                raise ProtocolError(f"coordinator refused the handshake: {reply!r}")
         return self._stream
 
     def _rpc(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -184,6 +174,10 @@ class CampaignWorker:
                 self._drop_stream()
                 continue
             except ProtocolError as exc:
+                if self._stream is None:
+                    # The handshake was refused (the coordinator speaks
+                    # another protocol version): no retry can heal that.
+                    raise
                 logger.warning("protocol error, resetting link: %s", exc)
                 self._drop_stream()
                 continue
@@ -195,13 +189,7 @@ class CampaignWorker:
         """Fetch and fully process one shard; False when the coordinator
         had nothing for us (idle poll)."""
         self._ensure_stream()
-        reply = self._rpc({
-            "type": "fetch",
-            "worker_id": self.worker_id,
-            # Protocol ≥ 3: the coordinator leases adaptive shards only to
-            # workers that advertise a version able to interpret them.
-            "version": PROTOCOL_VERSION,
-        })
+        reply = self._rpc({"type": "fetch", "worker_id": self.worker_id})
         kind = reply.get("type")
         if kind == "idle":
             return False
@@ -234,12 +222,6 @@ class CampaignWorker:
         spec = CampaignSpec.from_dict(shard.get("spec"))
         engine, points = self._engine_for(spec)
         lease_timeout = float(shard.get("lease_timeout", 30.0))
-        # Adopt the coordinator's fleet-aggregate cost model *before* the
-        # shard's counter snapshot: adoption replaces local state wholesale
-        # (if better informed), and adopted observations must not appear in
-        # this shard's reported delta — the coordinator's aggregate already
-        # contains them, and merging them back would double-count.
-        default_cost_model().adopt(shard.get("cost_model"))
 
         lost = threading.Event()
         heartbeat = threading.Thread(
@@ -250,12 +232,11 @@ class CampaignWorker:
         )
         heartbeat.start()
         stats_before = _cache_stats_snapshot()
-        # Batch result records (protocol ≥ 2): one message per k records
-        # instead of one RPC round trip per record.  The coordinator stores
-        # every record before acking the batch, so abandoning a shard after
-        # a flush loses at most the unflushed tail — which the re-queued
-        # lease simply re-executes (the store is idempotent per key).
-        batching = self._coordinator_version >= 2 and self.result_batch_size > 1
+        # Batch result records: one message per k records instead of one
+        # RPC round trip per record.  The coordinator stores every record
+        # before acking the batch, so abandoning a shard after a flush
+        # loses at most the unflushed tail — which the re-queued lease
+        # simply re-executes (the store is idempotent per key).
         batch: List[Dict[str, Any]] = []
 
         def flush() -> None:
@@ -275,9 +256,9 @@ class CampaignWorker:
             batch.clear()
 
         if shard.get("adaptive"):
-            # Adaptive shard (protocol ≥ 3): the coordinator planned the
-            # round centrally, so the lease names its points explicitly
-            # instead of by derivable schedule position.
+            # Adaptive shard: the coordinator planned the round centrally,
+            # so the lease names its points explicitly instead of by
+            # derivable schedule position.
             assignments = [
                 (int(index), str(key))
                 for index, key in shard.get("assignments", ())
@@ -293,22 +274,9 @@ class CampaignWorker:
             for record in runs:
                 if lost.is_set() or self._stop.is_set():
                     raise _LeaseLost()
-                if batching:
-                    batch.append(record.to_dict())
-                    if len(batch) >= self.result_batch_size:
-                        flush()
-                    continue
-                reply = self._rpc({
-                    "type": "result",
-                    "lease_id": lease_id,
-                    "campaign_id": shard.get("campaign_id"),
-                    "record": record.to_dict(),
-                })
-                if reply.get("type") == "stale_lease":
-                    raise _LeaseLost()
-                if reply.get("type") != "ack":
-                    raise ProtocolError(f"unexpected result reply: {reply!r}")
-                self.results_streamed += 1
+                batch.append(record.to_dict())
+                if len(batch) >= self.result_batch_size:
+                    flush()
             flush()
             lost.set()
             heartbeat.join()
@@ -316,7 +284,6 @@ class CampaignWorker:
             reply = self._rpc({
                 "type": "shard_done",
                 "lease_id": lease_id,
-                # Extra field, ignored by version-1 coordinators.
                 "stats": {
                     key: stats_after[key] - stats_before[key]
                     for key in stats_after

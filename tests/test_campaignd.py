@@ -23,6 +23,7 @@ from repro.distributed.campaignd import CampaignCoordinator
 from repro.distributed.client import CampaignClient, CampaignServerError
 from repro.distributed.central_controller import CentralController, Policy
 from repro.distributed.protocol import (
+    PROTOCOL_VERSION,
     ConnectionClosed,
     MessageStream,
     MessageTooLarge,
@@ -442,6 +443,108 @@ class TestServerFraming:
         assert errors == []
 
 
+def _serve_welcome(version):
+    """A fake coordinator answering every ``hello`` with a ``welcome`` that
+    advertises *version*; close the returned listener to stop it."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(4)
+
+    def serve():
+        while True:
+            try:
+                sock, _peer = listener.accept()
+            except OSError:
+                return  # listener closed
+            stream = MessageStream(sock)
+            try:
+                stream.recv()
+                stream.send({"type": "welcome", "version": version})
+                stream.recv()  # until the peer hangs up
+            except ProtocolError:
+                pass
+            finally:
+                stream.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener
+
+
+def _run_forever_error(worker):
+    """Run *worker* until it raises (bounded), returning the exception."""
+    errors = []
+
+    def run():
+        try:
+            worker.run_forever()
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=30)
+    worker.stop()
+    assert not thread.is_alive(), "run_forever kept redialling"
+    assert len(errors) == 1
+    return errors[0]
+
+
+class TestHandshake:
+    """One protocol version, checked at ``hello`` on both ends."""
+
+    @pytest.mark.parametrize("version", [PROTOCOL_VERSION - 1, None])
+    def test_mismatched_hello_is_refused_and_closed(self, fabric_factory, version):
+        fabric = fabric_factory()
+        stream = connect(fabric.address)
+        hello = {"type": "hello", "role": "worker", "worker_id": "old"}
+        if version is not None:
+            hello["version"] = version
+        stream.send(hello)
+        reply = stream.recv()
+        assert reply["type"] == "error"
+        assert "unsupported protocol version" in reply["error"]
+        with pytest.raises(ConnectionClosed):
+            stream.recv()
+        stream.close()
+
+    def test_worker_and_client_raise_on_mismatched_welcome(self):
+        listener = _serve_welcome(PROTOCOL_VERSION - 1)
+        address = listener.getsockname()
+        try:
+            # Fatal, not retried: run_forever must not spin on the link.
+            error = _run_forever_error(CampaignWorker(address, connect_retries=1))
+            assert isinstance(error, ProtocolError)
+            assert "refused the handshake" in str(error)
+            with pytest.raises(ProtocolError, match="protocol version"):
+                CampaignClient(address, retries=1)
+        finally:
+            listener.close()
+
+    def test_worker_and_client_refused_by_another_version(
+        self, fabric_factory, monkeypatch
+    ):
+        import repro.distributed.campaignd as campaignd_module
+
+        monkeypatch.setattr(campaignd_module, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1)
+        fabric = fabric_factory()
+        error = _run_forever_error(fabric.worker(connect_retries=1))
+        assert isinstance(error, ProtocolError)
+        assert "unsupported protocol version" in str(error)
+        with pytest.raises(CampaignServerError, match="unsupported protocol version"):
+            CampaignClient(fabric.address)
+
+    def test_per_record_result_message_is_unknown(self, fabric_factory):
+        fabric = fabric_factory()
+        stream = connect(fabric.address)
+        stream.send({
+            "type": "result", "lease_id": "l1", "record": _stored("k").to_dict(),
+        })
+        reply = stream.recv()
+        assert reply["type"] == "error"
+        assert "unknown message type 'result'" in reply["error"]
+        stream.close()
+
+
 # ----------------------------------------------------------------------
 # campaign spec
 # ----------------------------------------------------------------------
@@ -499,6 +602,30 @@ class TestCampaignFabric:
         tailed = [e["record"] for e in events if e["type"] == "result"]
         assert {r["key"] for r in tailed} == {r["key"] for r in records}
 
+    def test_tail_replays_stored_records_from_any_seq(self, fabric_factory, tmp_path):
+        fabric = fabric_factory(shard_size=3)
+        client = fabric.client()
+        store_path = str(tmp_path / "tail.jsonl")
+        reply = client.submit(CampaignSpec(store_path=store_path, **GIT_SPEC_KWARGS))
+        campaign_id = reply["campaign_id"]
+        worker = fabric.worker()
+        while worker.run_once():
+            pass
+        # Every record here is fresh, so arrival order is the store's order.
+        stored = [record.to_dict() for record in ResultStore(store_path)]
+        assert len(stored) > 3
+        expected = [
+            {"type": "result", "campaign_id": campaign_id, "seq": seq, "record": record}
+            for seq, record in enumerate(stored)
+        ]
+        for from_seq in (0, len(stored) // 2):
+            events = list(client.tail(campaign_id, from_seq=from_seq, follow=False))
+            assert events[:-1] == expected[from_seq:]
+            assert events[-1] == {
+                "type": "campaign_complete", "campaign_id": campaign_id,
+                "seq": len(stored),
+            }
+
     def test_submit_is_idempotent_per_spec(self, fabric_factory, tmp_path):
         fabric = fabric_factory()
         client = fabric.client()
@@ -541,7 +668,7 @@ class TestCampaignFabric:
                 self._result_budget = die_after
 
             def _rpc(self, message):
-                if message.get("type") == "result":
+                if message.get("type") == "result_batch":
                     if self._result_budget <= 0:
                         # Simulated crash: drop the link mid-shard, no
                         # shard_done, no further traffic.
@@ -553,7 +680,8 @@ class TestCampaignFabric:
 
         fabric = fabric_factory(shard_size=4, lease_timeout=0.5)
         dying = DyingWorker(
-            fabric.address, die_after=2, worker_id="doomed", poll_interval=0.01
+            fabric.address, die_after=2, worker_id="doomed", poll_interval=0.01,
+            result_batch_size=1,
         )
         fabric.workers.append(dying)
         survivor = fabric.worker(worker_id="survivor", poll_interval=0.01)
@@ -561,7 +689,12 @@ class TestCampaignFabric:
         spec = CampaignSpec(store_path=str(tmp_path / "kill.jsonl"), **GIT_SPEC_KWARGS)
         reply = client.submit(spec)
 
-        fabric.spawn(dying)
+        # The doomed worker runs alone until it crashes, so it is certain
+        # to die holding a lease.
+        doomed = fabric.spawn(dying)
+        doomed.join(timeout=60)
+        assert not doomed.is_alive()
+        assert dying.results_streamed == 2
         fabric.spawn(survivor)
         events = list(client.tail(reply["campaign_id"], timeout=60))
         assert events[-1]["type"] == "campaign_complete"
@@ -582,7 +715,10 @@ class TestCampaignFabric:
         client.submit(spec)
 
         stream = connect(fabric.address)
-        stream.send({"type": "hello", "role": "worker", "worker_id": "sleepy"})
+        stream.send({
+            "type": "hello", "role": "worker", "worker_id": "sleepy",
+            "version": PROTOCOL_VERSION,
+        })
         assert stream.recv()["type"] == "welcome"
         stream.send({"type": "fetch", "worker_id": "sleepy"})
         shard = stream.recv()
@@ -592,7 +728,10 @@ class TestCampaignFabric:
 
         # Another worker now gets the same (re-queued) indices.
         other = connect(fabric.address)
-        other.send({"type": "hello", "role": "worker", "worker_id": "fresh"})
+        other.send({
+            "type": "hello", "role": "worker", "worker_id": "fresh",
+            "version": PROTOCOL_VERSION,
+        })
         assert other.recv()["type"] == "welcome"
         other.send({"type": "fetch", "worker_id": "fresh"})
         reissued = other.recv()
@@ -606,8 +745,8 @@ class TestCampaignFabric:
         engine, points = build_engine(CampaignSpec(**GIT_SPEC_KWARGS))
         record = next(iter(engine.run_schedule_indices(points, shard["indices"][:1])))
         stream.send({
-            "type": "result", "lease_id": shard["lease_id"],
-            "record": record.to_dict(),
+            "type": "result_batch", "lease_id": shard["lease_id"],
+            "records": [record.to_dict()],
         })
         assert stream.recv()["type"] == "stale_lease"
         stream.send({"type": "shard_done", "lease_id": shard["lease_id"]})
@@ -623,7 +762,10 @@ class TestCampaignFabric:
         reply = client.submit(spec)
 
         stream = connect(fabric.address)
-        stream.send({"type": "hello", "role": "worker", "worker_id": "dupper"})
+        stream.send({
+            "type": "hello", "role": "worker", "worker_id": "dupper",
+            "version": PROTOCOL_VERSION,
+        })
         stream.recv()
         stream.send({"type": "fetch", "worker_id": "dupper"})
         shard = stream.recv()
@@ -631,8 +773,8 @@ class TestCampaignFabric:
         record = next(iter(engine.run_schedule_indices(points, shard["indices"][:1])))
         for _ in range(2):
             stream.send({
-                "type": "result", "lease_id": shard["lease_id"],
-                "record": record.to_dict(),
+                "type": "result_batch", "lease_id": shard["lease_id"],
+                "records": [record.to_dict()],
             })
             assert stream.recv()["type"] == "ack"
         stream.close()

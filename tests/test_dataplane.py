@@ -13,13 +13,15 @@ Four fast paths, each held bit-identical to its slow reference oracle:
   lazily against the parent's memoized boot template; oracle:
   ``os_channel="full"``;
 * **run-to-completion group scheduling** — pooled shared campaigns drain
-  one batch of prefix groups per worker; oracles: the group-per-task path
-  and the serial shared/plain paths.
+  one batch of prefix groups per worker; oracles: per-group
+  ``execute_group`` and the serial shared/plain paths.
 """
 
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.controller.campaign import TestCampaign as Campaign
 from repro.core.controller.controller import LFIController
@@ -31,7 +33,7 @@ from repro.core.controller.executor import (
     ThreadPoolBackend,
     execute_group,
     execute_group_batch,
-    shard_group_tasks,
+    plan_group_batches,
 )
 from repro.core.controller.prefix import build_group_tasks
 from repro.core.controller.target import WorkloadRequest, make_gate
@@ -360,6 +362,8 @@ class TestRecordBlock:
 # run-to-completion group scheduling
 # ----------------------------------------------------------------------
 class TestShardGroupTasks:
+    """Sharding group tasks into per-worker batches (plan_group_batches)."""
+
     def _groups(self, count):
         return [
             GroupTask(index=i, target=None, workload="w", entries=[(i, None, None)])
@@ -367,30 +371,58 @@ class TestShardGroupTasks:
         ]
 
     def test_round_robin_interleave(self):
-        batches = shard_group_tasks(self._groups(7), 3)
+        # Equal-cost groups: LPT packing interleaves them round-robin.
+        batches = plan_group_batches(self._groups(7), 3)
         assert [b.index for b in batches] == [0, 1, 2]
         assert [[g.index for g in b.groups] for b in batches] == [
             [0, 3, 6], [1, 4], [2, 5],
         ]
 
     def test_never_more_batches_than_groups(self):
-        batches = shard_group_tasks(self._groups(2), 8)
+        batches = plan_group_batches(self._groups(2), 8)
         assert len(batches) == 2
         assert [[g.index for g in b.groups] for b in batches] == [[0], [1]]
 
     def test_degenerate_shard_counts(self):
-        assert shard_group_tasks([], 4) == []
-        batches = shard_group_tasks(self._groups(3), 0)
+        assert plan_group_batches([], 4) == []
+        batches = plan_group_batches(self._groups(3), 0)
         assert len(batches) == 1
         assert [g.index for g in batches[0].groups] == [0, 1, 2]
 
     def test_assignment_is_deterministic_and_order_free(self):
         groups = self._groups(9)
         shuffled = list(reversed(groups))
-        first = shard_group_tasks(groups, 4)
-        second = shard_group_tasks(shuffled, 4)
+        first = plan_group_batches(groups, 4)
+        second = plan_group_batches(shuffled, 4)
         assert [[g.index for g in b.groups] for b in first] == \
             [[g.index for g in b.groups] for b in second]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=12), max_size=20),
+        st.integers(min_value=0, max_value=9),
+        st.randoms(use_true_random=False),
+    )
+    def test_every_member_once_in_nonempty_batches_in_any_order(
+        self, sizes, shards, rng
+    ):
+        groups, member = [], 0
+        for index, size in enumerate(sizes):
+            entries = [(member + k, None, None) for k in range(size)]
+            groups.append(GroupTask(index=index, target=None, workload="w", entries=entries))
+            member += size
+        shuffled = list(groups)
+        rng.shuffle(shuffled)
+
+        def members(plan):
+            return [[[i for i, _s, _seed in g.entries] for g in b.groups] for b in plan]
+
+        batches = plan_group_batches(groups, shards)
+        assert all(batch.groups for batch in batches)
+        assert len(batches) <= max(1, shards)
+        flat = sorted(i for batch in members(batches) for group in batch for i in group)
+        assert flat == list(range(member))
+        assert members(plan_group_batches(shuffled, shards)) == members(batches)
 
 
 class TestRunToCompletionDifferential:
@@ -406,19 +438,6 @@ class TestRunToCompletionDifferential:
         batch = GroupBatchTask(index=0, groups=tasks)
         merged = execute_group_batch(batch)
         assert sorted(merged) == sorted(per_group) == list(range(len(scenarios)))
-
-    def test_serial_batches_equal_run_groups(self):
-        target = MiniGitTarget()
-        scenarios = _fault_space_scenarios(target)[:8]
-        entries = [(i, s, None) for i, s in enumerate(scenarios)]
-        tasks = build_group_tasks(target, "status", entries)
-        backend = SerialBackend()
-        grouped = {}
-        for results in backend.run_groups(tasks):
-            grouped.update(results)
-        batched = backend.run_group_batches(tasks)
-        assert {i: r.outcome.kind for i, r in batched.items()} == \
-            {i: r.outcome.kind for i, r in grouped.items()}
 
     def test_worker_counts(self):
         assert SerialBackend().worker_count() == 1

@@ -6,13 +6,10 @@ boot-scope template keying, the adaptive group planner, the group-aware
 fabric leases, and worker-side result batching — is a pure throughput
 optimisation.  Results stay bit-identical to the memo-free per-scenario
 serial oracle on every backend and through the campaignd fabric, and the
-``memo=False`` / ``group_sched="static"`` knobs recover the old paths
-exactly.
+``memo=False`` knob recovers the memo-free path exactly.
 """
 
 import dataclasses
-
-import pytest
 
 from repro.core.controller.campaign import TestCampaign as Campaign
 from repro.core.controller.controller import LFIController
@@ -20,8 +17,6 @@ from repro.core.controller.executor import (
     GroupTask,
     estimate_group_cost,
     plan_group_batches,
-    resolve_group_schedule,
-    shard_group_tasks,
     split_group_task,
 )
 from repro.core.controller.memo import (
@@ -403,33 +398,18 @@ class TestCrossWorkloadBootSharing:
 # adaptive group scheduling
 # ----------------------------------------------------------------------
 class TestAdaptivePlanning:
-    def test_policy_resolution_and_env_default(self, monkeypatch):
-        assert resolve_group_schedule("adaptive") == "adaptive"
-        assert resolve_group_schedule("static") == "static"
-        assert resolve_group_schedule("round-robin") == "static"
-        assert resolve_group_schedule("rr") == "static"
-        monkeypatch.delenv("REPRO_GROUP_SCHED", raising=False)
-        assert resolve_group_schedule(None) == "adaptive"
-        monkeypatch.setenv("REPRO_GROUP_SCHED", "static")
-        assert resolve_group_schedule(None) == "static"
-        with pytest.raises(ValueError, match="unknown group schedule"):
-            resolve_group_schedule("bogus")
-
     def test_no_empty_batches_when_workers_exceed_groups(self):
         tasks = [_group_task(0, [0, 1]), _group_task(1, [2])]
-        for policy in ("static", "adaptive"):
-            batches = plan_group_batches(tasks, 8, policy=policy)
-            assert batches, policy
-            assert all(batch.groups for batch in batches), policy
-            covered = sorted(
-                i
-                for batch in batches
-                for group in batch.groups
-                for i, _s, _seed in group.entries
-            )
-            assert covered == [0, 1, 2], policy
-        # The static shim itself never emits empties either.
-        assert all(b.groups for b in shard_group_tasks(tasks, 8))
+        batches = plan_group_batches(tasks, 8)
+        assert batches
+        assert all(batch.groups for batch in batches)
+        covered = sorted(
+            i
+            for batch in batches
+            for group in batch.groups
+            for i, _s, _seed in group.entries
+        )
+        assert covered == [0, 1, 2]
         assert plan_group_batches([], 4) == []
 
     def test_split_preserves_rank_order_and_membership(self):
@@ -444,8 +424,9 @@ class TestAdaptivePlanning:
 
     def test_adaptive_splits_oversized_family_and_beats_static(self):
         # A skewed distribution: one 24-member errno family plus eight
-        # singletons.  Static round-robin lands the whole family on one
-        # shard; adaptive splits it across the fleet.
+        # singletons.  Round-robin would land the whole family on one
+        # shard, so its makespan would be at least the family's cost; the
+        # planner splits the family across the fleet and beats that.
         tasks = [_group_task(0, list(range(24)))] + [
             _group_task(1 + n, [24 + n]) for n in range(8)
         ]
@@ -457,20 +438,18 @@ class TestAdaptivePlanning:
                 for batch in batches
             )
 
-        static = plan_group_batches(tasks, shards, policy="static")
-        adaptive = plan_group_batches(tasks, shards, policy="adaptive")
-        for batches in (static, adaptive):
-            covered = sorted(
-                i
-                for batch in batches
-                for group in batch.groups
-                for i, _s, _seed in group.entries
-            )
-            assert covered == list(range(32))
+        adaptive = plan_group_batches(tasks, shards)
+        covered = sorted(
+            i
+            for batch in adaptive
+            for group in batch.groups
+            for i, _s, _seed in group.entries
+        )
+        assert covered == list(range(32))
         assert len(adaptive) == shards
-        assert makespan(adaptive) < makespan(static)
+        assert makespan(adaptive) < estimate_group_cost(tasks[0])
         # Deterministic: the plan is a pure function of its inputs.
-        again = plan_group_batches(tasks, shards, policy="adaptive")
+        again = plan_group_batches(tasks, shards)
         assert [
             [(g.index, [e[0] for e in g.entries]) for g in b.groups]
             for b in again
@@ -490,15 +469,11 @@ class TestAdaptivePlanning:
             )
         )
         for parallelism in ("threads:2", "threads:3", "processes:2"):
-            for policy in ("static", "adaptive"):
-                swept = campaign.run(
-                    scenarios, seed=9, include_baseline=False,
-                    share_prefixes=True, parallelism=parallelism,
-                    memo=False, group_sched=policy,
-                )
-                assert (
-                    _campaign_observables(swept) == reference
-                ), (parallelism, policy)
+            swept = campaign.run(
+                scenarios, seed=9, include_baseline=False,
+                share_prefixes=True, parallelism=parallelism, memo=False,
+            )
+            assert _campaign_observables(swept) == reference, parallelism
 
 
 # ----------------------------------------------------------------------
@@ -593,27 +568,11 @@ class TestFabricIntegration:
         assert "boot_hits" in status["cache"]
 
     def test_unbatched_worker_against_new_coordinator(self, tmp_path):
-        # result_batch_size=1 keeps the per-record protocol-1 data path
-        # alive (what a version-1 worker speaks); results are identical.
+        # result_batch_size=1 sends one-record result batches; results are
+        # identical.
         reference = self._serial_signature()
         status, records, _workers = self._run_fabric(
             tmp_path, "unbatched.jsonl", result_batch_size=1
         )
         assert status["state"] == "complete"
-        assert self._record_signature(records) == reference
-
-    def test_worker_against_version1_coordinator_streams_per_record(
-        self, tmp_path, monkeypatch
-    ):
-        # A version-1 coordinator never advertises batching; the worker
-        # must fall back to per-record streaming (which it always accepted).
-        import repro.distributed.campaignd as campaignd_module
-
-        monkeypatch.setattr(campaignd_module, "PROTOCOL_VERSION", 1)
-        reference = self._serial_signature()
-        status, records, workers = self._run_fabric(
-            tmp_path, "v1.jsonl", result_batch_size=8
-        )
-        assert status["state"] == "complete"
-        assert all(w._coordinator_version == 1 for w in workers)
         assert self._record_signature(records) == reference
